@@ -1,9 +1,9 @@
-//! Fleet-scale serving: N warm pools behind a router, with a
-//! warm-up-priced autoscaler.
+//! The serving event loop: N warm pools behind a router, with a
+//! warm-up-priced autoscaler and optional live graph ingestion.
 //!
-//! The single-pool loop ([`crate::serve`]) amortizes the paper's §4.4
-//! warm-up inside one box. This module scales the same discrete-event
-//! discipline to a fleet:
+//! Every serving entry point runs this one loop. [`crate::serve`] is a
+//! fleet of one static pool with no autoscaler; [`crate::serve_streaming`]
+//! is that pool with ingest events racing the queries.
 //!
 //! ```text
 //! workload ──▶ router ──▶ pool 0 ─▶ replica sessions
@@ -17,16 +17,30 @@
 //! * Every arrival is placed by the [`Router`] using only queue depths
 //!   and model residency ([`PoolLoad`]); backpressure sheds at the
 //!   *destination* pool's queue bound.
+//! * Within a pool, each model has an admission queue that closes into
+//!   a ready FIFO by [`WindowBatcher`]'s window-or-capacity rule; a
+//!   freed replica takes the earliest ready batch it can serve with
+//!   model affinity ([`WarmPool::pick`]).
 //! * The [`Autoscaler`] reads fleet-wide queue depth at each arrival —
 //!   the deterministic latency signal, by Little's law — and can spawn
 //!   a pool (whose replicas pay the full context + model-init
 //!   provisioning warm-up before their first service, so scale-out is
 //!   priced exactly like the paper's cold process start) or drain one
 //!   (it finishes its queue, then stops accruing replica-seconds).
-//! * Event ordering keeps the single-pool total order — `(time,
-//!   priority, seq)` in one `BTreeMap`, `ReplicaFree < Arrival <
-//!   BatchClose` at equal instants — so a fleet run replays bit for bit
-//!   from its seed.
+//! * In streaming runs, ingest events append to the shared delta-log
+//!   store on the ingest clock, and each dispatched batch first pays
+//!   its host-side sampling on that clock before its replica service
+//!   starts — the freshness-vs-latency contention the streaming
+//!   benchmarks measure.
+//!
+//! Event ordering is total: keys are `(time, priority, seq)` in one
+//! `BTreeMap`, with replica releases before arrivals before ingests
+//! before batch closes at equal instants (`ReplicaFree < Arrival <
+//! Ingest < BatchClose`), so a freed slot is reusable by a same-instant
+//! arrival, a same-instant ingest is visible to the batch that closes
+//! then, and a zero-window batch closes after its own arrival. No hash
+//! map participates in any decision, so a run replays bit for bit from
+//! its seed.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -38,6 +52,7 @@ use crate::autoscaler::{Autoscaler, AutoscalerConfig, ScaleEvent, ScaleKind};
 use crate::pool::WarmPool;
 use crate::report::{FleetReport, ServedBatch, ServedRequest};
 use crate::router::{PoolLoad, Router, RouterPolicy};
+use crate::streaming::StreamingState;
 use crate::workload::{generate_shaped, RateError, Request, WorkloadShape};
 use crate::{ServedModel, UNBOUNDED};
 
@@ -144,15 +159,17 @@ pub struct FleetOutcome {
     pub sessions: Vec<Executor>,
 }
 
-/// Event kinds, in tie-break priority order (the single-pool
-/// discipline, extended with a pool coordinate).
+/// Event kinds, in tie-break priority order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     /// A replica finished its service (or its provisioning).
     ReplicaFree { pool: usize, slot: usize },
     /// A request arrives at the router.
     Arrival(usize),
-    /// A batch window expires for one pool's model queue.
+    /// A live graph event arrives for ingestion (streaming runs only).
+    Ingest(usize),
+    /// A batch window expires for one pool's model queue; the token
+    /// guards against firing on a queue that already closed by capacity.
     BatchClose {
         pool: usize,
         model: usize,
@@ -165,8 +182,32 @@ impl Ev {
         match self {
             Ev::ReplicaFree { .. } => 0,
             Ev::Arrival(_) => 1,
+            Ev::Ingest(_) => 2,
             Ev::BatchClose { .. } => 3,
         }
+    }
+}
+
+/// The event queue: `(time, priority, seq)` keys give a deterministic
+/// total order.
+#[derive(Default)]
+struct Queue {
+    events: BTreeMap<(u64, u8, u64), Ev>,
+    seq: u64,
+}
+
+impl Queue {
+    /// Schedules `ev` at `t` under the next sequence number.
+    fn push(&mut self, t: DurationNs, ev: Ev) {
+        self.seq += 1;
+        self.events
+            .insert((t.as_nanos(), ev.priority(), self.seq), ev);
+    }
+
+    fn pop(&mut self) -> Option<(DurationNs, Ev)> {
+        self.events
+            .pop_first()
+            .map(|((t, _, _), ev)| (DurationNs::from_nanos(t), ev))
     }
 }
 
@@ -189,6 +230,9 @@ struct PoolState {
     queued: usize,
     /// Replicas currently busy (provisioning or serving).
     busy: usize,
+    /// Warm-up the pool paid at provisioning, taken at spawn while its
+    /// timelines hold nothing else.
+    provision: ServicePhases,
     spawned_at: DurationNs,
     retired_at: Option<DurationNs>,
     draining: bool,
@@ -209,6 +253,156 @@ impl PoolState {
         if self.draining && self.retired_at.is_none() && self.queued == 0 && self.busy == 0 {
             debug_assert!(self.ready.is_empty());
             self.retired_at = Some(now);
+        }
+    }
+
+    /// Drains up to one batch from a model queue into the ready FIFO.
+    fn close_batch(&mut self, model: usize, now: DurationNs, batcher: &WindowBatcher) {
+        self.open_token[model] = None;
+        let q = &mut self.queues[model];
+        debug_assert!(!q.is_empty(), "closing an empty batch");
+        let take = q.len().min(batcher.max_batch);
+        let members: Vec<usize> = q.drain(..take).collect();
+        self.ready.push_back(PendingBatch {
+            model,
+            members,
+            ready: now,
+        });
+    }
+}
+
+/// The raw records of one run of the event loop, from which
+/// [`serve_fleet`] and the single-pool wrappers build their reports.
+pub(crate) struct Run {
+    /// Every generated request (offered load), in arrival order.
+    pub(crate) offered: Vec<Request>,
+    /// Served requests, in arrival order.
+    pub(crate) served: Vec<ServedRequest>,
+    /// Requests rejected by backpressure, in arrival order.
+    pub(crate) shed: Vec<Request>,
+    /// Batch records, in dispatch order.
+    pub(crate) batches: Vec<FleetBatch>,
+    /// Scale decisions, in virtual-time order.
+    pub(crate) scale_events: Vec<ScaleEvent>,
+    /// Provisioning warm-up summed over every pool.
+    pub(crate) provision: ServicePhases,
+    /// Services that paid a model swap, fleet-wide.
+    pub(crate) cold_services: usize,
+    /// Each pool's `(spawned_at, retired_at)` lifetime, in spawn order.
+    pub(crate) pool_spans: Vec<(DurationNs, Option<DurationNs>)>,
+    /// Most pools routable at once.
+    pub(crate) peak_pools: usize,
+    /// Pools still routable when the run ended.
+    pub(crate) final_pools: usize,
+    /// Last service or provisioning completion.
+    pub(crate) makespan: DurationNs,
+    /// Every pool, in spawn order.
+    pub(crate) pools: Vec<WarmPool>,
+}
+
+/// Event-loop state outside the pools: the queue, the records, and the
+/// optional live-ingest source.
+struct Sim<'a> {
+    cfg: &'a FleetConfig,
+    zoo: &'a [ServedModel],
+    batcher: WindowBatcher,
+    requests: Vec<Request>,
+    queue: Queue,
+    served: Vec<ServedRequest>,
+    batches: Vec<FleetBatch>,
+    streaming: Option<&'a mut StreamingState>,
+}
+
+impl Sim<'_> {
+    /// Spawns a pool at `at`. Each replica pays context + model init
+    /// before its first service, so a scale-out is priced exactly like
+    /// the t = 0 pools.
+    fn spawn(&mut self, pools: &mut Vec<PoolState>, at: DurationNs) {
+        let cfg = self.cfg;
+        let id = pools.len();
+        let mut pool = WarmPool::new(cfg.replicas_per_pool, cfg.spec.clone(), cfg.mode, cfg.trace);
+        for (slot, done) in pool.provision(self.zoo).into_iter().enumerate() {
+            self.queue
+                .push(at + done, Ev::ReplicaFree { pool: id, slot });
+        }
+        let provision = pool.provision_phases();
+        pools.push(PoolState {
+            id,
+            pool,
+            queues: vec![VecDeque::new(); self.zoo.len()],
+            open_token: vec![None; self.zoo.len()],
+            ready: VecDeque::new(),
+            queued: 0,
+            busy: cfg.replicas_per_pool,
+            provision,
+            spawned_at: at,
+            retired_at: None,
+            draining: false,
+        });
+    }
+
+    /// Starts ready batches on the pool's free replicas: FIFO with an
+    /// affinity skip. Affinity can block the head (its model's slot is
+    /// busy) without blocking later batches whose slots are free;
+    /// within one model, ready order is FIFO so requests never overtake
+    /// each other.
+    fn try_dispatch(&mut self, now: DurationNs, p: &mut PoolState) {
+        while let Some((pos, slot)) = p
+            .ready
+            .iter()
+            .enumerate()
+            .find_map(|(i, b)| p.pool.pick(b.model).map(|(slot, _cold)| (i, slot)))
+        {
+            let batch = p.ready.remove(pos).expect("index from enumerate");
+            let batch_id = self.batches.len();
+            // Streaming: the batch first pays host-side sampling on the
+            // shared ingest clock (contending with live appends),
+            // reading a snapshot capped at the events visible right now.
+            let (sampling, staleness) = match self.streaming.as_deref_mut() {
+                Some(state) => state.sample_batch(now, &batch.members, &self.requests),
+                None => (DurationNs::ZERO, Vec::new()),
+            };
+            let dispatch_seq = batch_id as u64 + 1;
+            let record = p.pool.service(
+                slot,
+                batch.model,
+                self.zoo,
+                batch.members.len(),
+                dispatch_seq,
+            );
+            let completed = now + sampling + record.duration;
+            p.queued -= batch.members.len();
+            p.busy += 1;
+
+            for (i, &id) in batch.members.iter().enumerate() {
+                self.served.push(ServedRequest {
+                    id,
+                    model: batch.model,
+                    arrival: self.requests[id].arrival,
+                    batch: batch_id,
+                    assembled: batch.ready,
+                    started: now,
+                    completed,
+                    cold: record.cold,
+                    staleness: staleness.get(i).copied().unwrap_or(DurationNs::ZERO),
+                });
+            }
+            self.batches.push(FleetBatch {
+                pool: p.id,
+                batch: ServedBatch {
+                    model: batch.model,
+                    requests: batch.members,
+                    ready: batch.ready,
+                    started: now,
+                    completed,
+                    cold: record.cold,
+                    replica: record.replica,
+                    phases: record.phases,
+                    summary: record.summary,
+                },
+            });
+            self.queue
+                .push(completed, Ev::ReplicaFree { pool: p.id, slot });
         }
     }
 }
@@ -240,6 +434,46 @@ impl PoolState {
 /// assert!(outcome.report.replica_seconds > 0.0);
 /// ```
 pub fn serve_fleet(cfg: &FleetConfig, zoo: &[ServedModel]) -> FleetOutcome {
+    let run = run(cfg, zoo, None);
+    let report = FleetReport::build(
+        cfg,
+        &run.offered,
+        &run.served,
+        &run.shed,
+        &run.batches,
+        &run.scale_events,
+        &run.provision,
+        run.cold_services,
+        &run.pool_spans,
+        run.peak_pools,
+        run.final_pools,
+        run.makespan,
+    );
+    FleetOutcome {
+        report,
+        requests: run.served,
+        shed: run.shed,
+        batches: run.batches,
+        scale_events: run.scale_events,
+        sessions: run
+            .pools
+            .into_iter()
+            .flat_map(WarmPool::into_sessions)
+            .collect(),
+    }
+}
+
+/// The serving event loop: runs `cfg` to completion, with live graph
+/// ingestion racing the queries when `streaming` is given.
+///
+/// # Panics
+///
+/// As [`serve_fleet`].
+pub(crate) fn run(
+    cfg: &FleetConfig,
+    zoo: &[ServedModel],
+    streaming: Option<&mut StreamingState>,
+) -> Run {
     assert!(!zoo.is_empty(), "model mix must not be empty");
     assert!(cfg.initial_pools >= 1, "fleet needs at least one pool");
     assert!(
@@ -247,69 +481,46 @@ pub fn serve_fleet(cfg: &FleetConfig, zoo: &[ServedModel]) -> FleetOutcome {
         "pools need at least one replica"
     );
     let weights: Vec<f64> = zoo.iter().map(|m| m.weight).collect();
-    let requests = generate_shaped(
-        cfg.seed,
-        cfg.n_requests,
-        cfg.arrival_rate_rps,
-        &weights,
-        &cfg.shape,
-    );
-    let batcher = WindowBatcher::new(cfg.batch_window.as_nanos(), cfg.max_batch);
+    let mut sim = Sim {
+        cfg,
+        zoo,
+        batcher: WindowBatcher::new(cfg.batch_window.as_nanos(), cfg.max_batch),
+        requests: generate_shaped(
+            cfg.seed,
+            cfg.n_requests,
+            cfg.arrival_rate_rps,
+            &weights,
+            &cfg.shape,
+        ),
+        queue: Queue::default(),
+        served: Vec::new(),
+        batches: Vec::new(),
+        streaming,
+    };
     let mut router = Router::new(cfg.policy, cfg.seed);
     let mut autoscaler = cfg.autoscaler.map(Autoscaler::new);
 
-    let mut events: BTreeMap<(u64, u8, u64), Ev> = BTreeMap::new();
-    let mut seq = 0u64;
-    let push = |events: &mut BTreeMap<(u64, u8, u64), Ev>, seq: &mut u64, t: DurationNs, ev: Ev| {
-        *seq += 1;
-        events.insert((t.as_nanos(), ev.priority(), *seq), ev);
-    };
-
     let mut pools: Vec<PoolState> = Vec::new();
-    let spawn = |pools: &mut Vec<PoolState>,
-                 events: &mut BTreeMap<(u64, u8, u64), Ev>,
-                 seq: &mut u64,
-                 at: DurationNs| {
-        let id = pools.len();
-        let mut pool = WarmPool::new(cfg.replicas_per_pool, cfg.spec.clone(), cfg.mode, cfg.trace);
-        // Scale-out pricing: each replica pays context + model init
-        // before its first service, exactly like the t = 0 pools.
-        for (slot, done) in pool.provision(zoo).into_iter().enumerate() {
-            push(events, seq, at + done, Ev::ReplicaFree { pool: id, slot });
-        }
-        pools.push(PoolState {
-            id,
-            pool,
-            queues: vec![VecDeque::new(); zoo.len()],
-            open_token: vec![None; zoo.len()],
-            ready: VecDeque::new(),
-            queued: 0,
-            busy: cfg.replicas_per_pool,
-            spawned_at: at,
-            retired_at: None,
-            draining: false,
-        });
-    };
     for _ in 0..cfg.initial_pools {
-        spawn(&mut pools, &mut events, &mut seq, DurationNs::ZERO);
+        sim.spawn(&mut pools, DurationNs::ZERO);
     }
-    for r in &requests {
-        push(&mut events, &mut seq, r.arrival, Ev::Arrival(r.id));
+    for r in &sim.requests {
+        sim.queue.push(r.arrival, Ev::Arrival(r.id));
+    }
+    if let Some(state) = sim.streaming.as_deref() {
+        for (i, &at) in state.ingest_arrivals().iter().enumerate() {
+            sim.queue.push(at, Ev::Ingest(i));
+        }
     }
 
-    let mut served: Vec<ServedRequest> = Vec::new();
     let mut shed: Vec<Request> = Vec::new();
-    let mut batches: Vec<FleetBatch> = Vec::new();
-    let mut dispatch_seq = 0u64;
     let mut peak_pools = cfg.initial_pools;
     let mut makespan = DurationNs::ZERO;
 
-    while let Some((&key, &ev)) = events.iter().next() {
-        events.remove(&key);
-        let now = DurationNs::from_nanos(key.0);
+    while let Some((now, ev)) = sim.queue.pop() {
         match ev {
             Ev::Arrival(id) => {
-                let req = requests[id];
+                let req = sim.requests[id];
                 // The autoscaler reads the fleet before placement, so a
                 // spawned pool is routable for this very arrival.
                 if let Some(scaler) = autoscaler.as_mut() {
@@ -321,7 +532,7 @@ pub fn serve_fleet(cfg: &FleetConfig, zoo: &[ServedModel]) -> FleetOutcome {
                     let active = pools.iter().filter(|p| p.routable()).count();
                     match scaler.decide(now, queued_total, active) {
                         Some(ScaleKind::Out) => {
-                            spawn(&mut pools, &mut events, &mut seq, now);
+                            sim.spawn(&mut pools, now);
                             peak_pools = peak_pools.max(active + 1);
                         }
                         Some(ScaleKind::In) => {
@@ -358,71 +569,51 @@ pub fn serve_fleet(cfg: &FleetConfig, zoo: &[ServedModel]) -> FleetOutcome {
                 }
                 p.queued += 1;
                 p.queues[req.model].push_back(id);
-                if batcher.is_full(p.queues[req.model].len()) {
-                    p.open_token[req.model] = None;
-                    close_batch(p, req.model, now, &batcher);
-                    try_dispatch(
-                        now,
-                        zoo,
-                        &mut pools[dest],
-                        &requests,
-                        &mut served,
-                        &mut batches,
-                        &mut dispatch_seq,
-                        &mut events,
-                        &mut seq,
-                    );
+                if sim.batcher.is_full(p.queues[req.model].len()) {
+                    // Capacity close: dispatchable immediately.
+                    p.close_batch(req.model, now, &sim.batcher);
+                    sim.try_dispatch(now, p);
                 } else if p.queues[req.model].len() == 1 {
-                    seq += 1;
-                    let token = seq;
+                    // New anchor: schedule the window close. The push
+                    // takes the next sequence number, which doubles as
+                    // the window token.
+                    let token = sim.queue.seq + 1;
                     p.open_token[req.model] = Some(token);
-                    let deadline = DurationNs::from_nanos(batcher.deadline(now.as_nanos()));
-                    let ev = Ev::BatchClose {
-                        pool: dest,
-                        model: req.model,
-                        token,
-                    };
-                    events.insert((deadline.as_nanos(), ev.priority(), token), ev);
+                    let deadline = DurationNs::from_nanos(sim.batcher.deadline(now.as_nanos()));
+                    sim.queue.push(
+                        deadline,
+                        Ev::BatchClose {
+                            pool: dest,
+                            model: req.model,
+                            token,
+                        },
+                    );
                 }
             }
             Ev::BatchClose { pool, model, token } => {
-                if pools[pool].open_token[model] != Some(token) {
+                let p = &mut pools[pool];
+                if p.open_token[model] != Some(token) {
                     continue; // stale: already closed by capacity
                 }
-                pools[pool].open_token[model] = None;
-                close_batch(&mut pools[pool], model, now, &batcher);
-                try_dispatch(
-                    now,
-                    zoo,
-                    &mut pools[pool],
-                    &requests,
-                    &mut served,
-                    &mut batches,
-                    &mut dispatch_seq,
-                    &mut events,
-                    &mut seq,
-                );
+                p.close_batch(model, now, &sim.batcher);
+                sim.try_dispatch(now, p);
             }
+            Ev::Ingest(i) => sim
+                .streaming
+                .as_deref_mut()
+                .expect("ingest events are only scheduled in streaming runs")
+                .ingest(i, now),
             Ev::ReplicaFree { pool, slot } => {
                 // Every service or provisioning completion passes
                 // through here, so the last one is the makespan (a
                 // stale window token can outlive it and must not
                 // stretch the clock).
                 makespan = makespan.max(now);
-                pools[pool].pool.mark_free(slot);
-                pools[pool].busy -= 1;
-                try_dispatch(
-                    now,
-                    zoo,
-                    &mut pools[pool],
-                    &requests,
-                    &mut served,
-                    &mut batches,
-                    &mut dispatch_seq,
-                    &mut events,
-                    &mut seq,
-                );
-                pools[pool].maybe_retire(now);
+                let p = &mut pools[pool];
+                p.pool.mark_free(slot);
+                p.busy -= 1;
+                sim.try_dispatch(now, p);
+                p.maybe_retire(now);
             }
         }
     }
@@ -431,124 +622,31 @@ pub fn serve_fleet(cfg: &FleetConfig, zoo: &[ServedModel]) -> FleetOutcome {
         pools.iter().all(|p| p.queued == 0
             && p.ready.is_empty()
             && p.queues.iter().all(VecDeque::is_empty)),
-        "fleet loop terminated with work still queued"
+        "serving loop terminated with work still queued"
     );
 
-    served.sort_by_key(|r| r.id);
+    sim.served.sort_by_key(|r| r.id);
     let mut provision = ServicePhases::default();
     let mut cold_services = 0usize;
     for p in &pools {
-        provision.accumulate(&p.pool.provision_phases());
+        provision.accumulate(&p.provision);
         cold_services += p.pool.cold_starts();
     }
-    let pool_spans: Vec<(DurationNs, Option<DurationNs>)> =
-        pools.iter().map(|p| (p.spawned_at, p.retired_at)).collect();
-    let final_pools = pools.iter().filter(|p| p.routable()).count();
-    let scale_events: Vec<ScaleEvent> = autoscaler
-        .as_ref()
-        .map(|s| s.events().to_vec())
-        .unwrap_or_default();
-
-    let report = FleetReport::build(
-        cfg,
-        &requests,
-        &served,
-        &shed,
-        &batches,
-        &scale_events,
-        &provision,
-        cold_services,
-        &pool_spans,
-        peak_pools,
-        final_pools,
-        makespan,
-    );
-    FleetOutcome {
-        report,
-        requests: served,
+    Run {
+        offered: sim.requests,
+        served: sim.served,
         shed,
-        batches,
-        scale_events,
-        sessions: pools
-            .into_iter()
-            .flat_map(|p| p.pool.into_sessions())
-            .collect(),
-    }
-}
-
-/// Drains up to one batch from a pool's model queue into its ready
-/// FIFO.
-fn close_batch(p: &mut PoolState, model: usize, now: DurationNs, batcher: &WindowBatcher) {
-    let q = &mut p.queues[model];
-    debug_assert!(!q.is_empty(), "closing an empty batch");
-    let take = q.len().min(batcher.max_batch);
-    let members: Vec<usize> = q.drain(..take).collect();
-    p.ready.push_back(PendingBatch {
-        model,
-        members,
-        ready: now,
-    });
-}
-
-/// Starts ready batches on the pool's free replicas (FIFO with
-/// affinity skip — the single-pool dispatch rule, scoped to one pool).
-#[allow(clippy::too_many_arguments)] // event-loop state is deliberately flat
-fn try_dispatch(
-    now: DurationNs,
-    zoo: &[ServedModel],
-    p: &mut PoolState,
-    requests: &[Request],
-    served: &mut Vec<ServedRequest>,
-    batches: &mut Vec<FleetBatch>,
-    dispatch_seq: &mut u64,
-    events: &mut BTreeMap<(u64, u8, u64), Ev>,
-    seq: &mut u64,
-) {
-    while let Some((pos, slot)) = p
-        .ready
-        .iter()
-        .enumerate()
-        .find_map(|(i, b)| p.pool.pick(b.model).map(|(slot, _cold)| (i, slot)))
-    {
-        let batch = p.ready.remove(pos).expect("index from enumerate");
-        *dispatch_seq += 1;
-        let record = p
-            .pool
-            .service(slot, batch.model, zoo, batch.members.len(), *dispatch_seq);
-        let completed = now + record.duration;
-        p.queued -= batch.members.len();
-        p.busy += 1;
-
-        let batch_id = batches.len();
-        for &id in &batch.members {
-            served.push(ServedRequest {
-                id,
-                model: batch.model,
-                arrival: requests[id].arrival,
-                batch: batch_id,
-                assembled: batch.ready,
-                started: now,
-                completed,
-                cold: record.cold,
-                staleness: DurationNs::ZERO,
-            });
-        }
-        batches.push(FleetBatch {
-            pool: p.id,
-            batch: ServedBatch {
-                model: batch.model,
-                requests: batch.members,
-                ready: batch.ready,
-                started: now,
-                completed,
-                cold: record.cold,
-                replica: record.replica,
-                phases: record.phases,
-                summary: record.summary,
-            },
-        });
-        let ev = Ev::ReplicaFree { pool: p.id, slot };
-        *seq += 1;
-        events.insert((completed.as_nanos(), ev.priority(), *seq), ev);
+        batches: sim.batches,
+        scale_events: autoscaler
+            .as_ref()
+            .map(|s| s.events().to_vec())
+            .unwrap_or_default(),
+        provision,
+        cold_services,
+        pool_spans: pools.iter().map(|p| (p.spawned_at, p.retired_at)).collect(),
+        peak_pools,
+        final_pools: pools.iter().filter(|p| p.routable()).count(),
+        makespan,
+        pools: pools.into_iter().map(|p| p.pool).collect(),
     }
 }

@@ -14,16 +14,16 @@
 //!   when its window expires or it reaches capacity;
 //! * [`WarmPool`] — pre-initialized replica sessions; warm hits pay
 //!   only per-run allocation, cold starts pay a model swap;
-//! * [`serve`] — the discrete-event loop tying it together, with
-//!   backpressure shedding at a queue bound;
-//! * [`serve_streaming`] — the same loop with queries racing live graph
+//! * [`serve`] — one static pool of warm replicas, with backpressure
+//!   shedding at a queue bound;
+//! * [`serve_streaming`] — the same pool with queries racing live graph
 //!   ingestion: appends into a [`dgnn_graph::StreamingAdjacency`] delta
 //!   log, TGN/JODIE node-memory updates at ingest time, and per-request
 //!   **staleness** measurement against the visible snapshot;
 //! * [`ServeReport`] — p50/p95/p99 decomposition of request latency
 //!   into assembly, queue wait, service (and staleness) phases.
 //!
-//! On top of the single pool sits the **fleet layer**:
+//! The **fleet layer** generalizes the single pool:
 //!
 //! * [`WorkloadShape`] — traffic shapes beyond homogeneous Poisson:
 //!   diurnal sinusoid, flash-crowd burst, heavy-tailed per-user
@@ -35,9 +35,14 @@
 //!   spawned pool pays the full provisioning warm-up (the §4.4 cost as
 //!   a *scaling* penalty) and every drained pool stops accruing
 //!   replica-seconds;
-//! * [`serve_fleet`] — the fleet event loop, reported by
+//! * [`serve_fleet`] — N pools behind the router, reported by
 //!   [`FleetReport`] with SLO attainment, shed rate, replica-seconds
 //!   and scale-event counts.
+//!
+//! All three entry points run one discrete-event loop. A single pool
+//! is a fleet of one static pool under join-shortest-queue with no
+//! autoscaler, and live ingestion is an optional event source of that
+//! loop.
 //!
 //! Everything runs on the virtual clock: no wall-clock time, no thread
 //! scheduling, no hash-map iteration order anywhere in a decision path.
@@ -98,7 +103,6 @@ pub use router::{PoolLoad, Router, RouterPolicy};
 pub use sim::{serve, ServeOutcome};
 pub use streaming::{
     generate_ingest, mean_staleness_ms, serve_streaming, StreamingConfig, StreamingOutcome,
-    StreamingState,
 };
 pub use workload::{generate_shaped, validate_rate, RateError, Request, WorkloadShape, MIN_RATE};
 

@@ -36,6 +36,54 @@ fn shed_summary(shed: usize, queue_bound: usize) -> String {
     }
 }
 
+/// The request and batch statistics both reports share.
+struct RequestStats {
+    latency: LatencyStats,
+    assembly: LatencyStats,
+    queue_wait: LatencyStats,
+    service: LatencyStats,
+    service_phases: ServicePhases,
+    throughput_rps: f64,
+    mean_batch_size: f64,
+}
+
+impl RequestStats {
+    /// Order statistics over `served`, phases summed over every batch,
+    /// and throughput over `makespan`.
+    fn new<'a>(
+        served: &[ServedRequest],
+        batch_phases: impl ExactSizeIterator<Item = &'a ServicePhases>,
+        makespan: DurationNs,
+    ) -> Self {
+        let stats = |station: fn(&ServedRequest) -> DurationNs| {
+            let samples: Vec<DurationNs> = served.iter().map(station).collect();
+            LatencyStats::from_durations(&samples)
+        };
+        let n_batches = batch_phases.len();
+        let mut service_phases = ServicePhases::default();
+        for phases in batch_phases {
+            service_phases.accumulate(phases);
+        }
+        RequestStats {
+            latency: stats(ServedRequest::latency),
+            assembly: stats(ServedRequest::assembly_wait),
+            queue_wait: stats(ServedRequest::queue_wait),
+            service: stats(ServedRequest::service_time),
+            service_phases,
+            throughput_rps: if makespan.as_nanos() == 0 {
+                0.0
+            } else {
+                served.len() as f64 / makespan.as_secs_f64()
+            },
+            mean_batch_size: if n_batches == 0 {
+                0.0
+            } else {
+                served.len() as f64 / n_batches as f64
+            },
+        }
+    }
+}
+
 /// Per-request serving record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServedRequest {
@@ -154,7 +202,8 @@ pub struct ServeReport {
     /// [`TensorClass::index`]) — shows whether hits come from static
     /// node/edge features or recurrent memory rows.
     pub cache_by_class: ClassCacheStats,
-    /// Last completion time (provisioning included).
+    /// Last batch completion time. Provisioning-only completions do
+    /// not count, so a run that serves nothing has a zero makespan.
     pub makespan: DurationNs,
     /// Served requests per simulated second of makespan.
     pub throughput_rps: f64,
@@ -176,32 +225,13 @@ impl ServeReport {
         cache: CacheStats,
         cache_by_class: ClassCacheStats,
     ) -> Self {
-        let latencies: Vec<DurationNs> = served.iter().map(ServedRequest::latency).collect();
-        let assembly: Vec<DurationNs> = served.iter().map(ServedRequest::assembly_wait).collect();
-        let queueing: Vec<DurationNs> = served.iter().map(ServedRequest::queue_wait).collect();
-        let service: Vec<DurationNs> = served.iter().map(ServedRequest::service_time).collect();
-        let staleness: Vec<DurationNs> = served.iter().map(|r| r.staleness).collect();
-
-        let mut service_phases = ServicePhases::default();
-        for b in batches {
-            service_phases.accumulate(&b.phases);
-        }
-
         let makespan = batches
             .iter()
             .map(|b| b.completed)
             .max()
             .unwrap_or(DurationNs::ZERO);
-        let throughput_rps = if makespan.as_nanos() == 0 {
-            0.0
-        } else {
-            served.len() as f64 / makespan.as_secs_f64()
-        };
-        let mean_batch_size = if batches.is_empty() {
-            0.0
-        } else {
-            served.len() as f64 / batches.len() as f64
-        };
+        let stats = RequestStats::new(served, batches.iter().map(|b| &b.phases), makespan);
+        let staleness: Vec<DurationNs> = served.iter().map(|r| r.staleness).collect();
 
         ServeReport {
             offered: offered.len(),
@@ -213,17 +243,17 @@ impl ServeReport {
             warm_services: batches.len() - cold_services,
             pool_size: cfg.pool_size,
             provision: *provision,
-            service_phases,
-            latency: LatencyStats::from_durations(&latencies),
-            assembly: LatencyStats::from_durations(&assembly),
-            queue_wait: LatencyStats::from_durations(&queueing),
-            service: LatencyStats::from_durations(&service),
+            service_phases: stats.service_phases,
+            latency: stats.latency,
+            assembly: stats.assembly,
+            queue_wait: stats.queue_wait,
+            service: stats.service,
             staleness: LatencyStats::from_durations(&staleness),
             cache,
             cache_by_class,
             makespan,
-            throughput_rps,
-            mean_batch_size,
+            throughput_rps: stats.throughput_rps,
+            mean_batch_size: stats.mean_batch_size,
         }
     }
 
@@ -389,15 +419,7 @@ impl FleetReport {
         final_pools: usize,
         makespan: DurationNs,
     ) -> Self {
-        let latencies: Vec<DurationNs> = served.iter().map(ServedRequest::latency).collect();
-        let assembly: Vec<DurationNs> = served.iter().map(ServedRequest::assembly_wait).collect();
-        let queueing: Vec<DurationNs> = served.iter().map(ServedRequest::queue_wait).collect();
-        let service: Vec<DurationNs> = served.iter().map(ServedRequest::service_time).collect();
-
-        let mut service_phases = ServicePhases::default();
-        for b in batches {
-            service_phases.accumulate(&b.batch.phases);
-        }
+        let stats = RequestStats::new(served, batches.iter().map(|b| &b.batch.phases), makespan);
         let replica_seconds: f64 = pool_spans
             .iter()
             .map(|&(spawned, retired)| {
@@ -406,16 +428,6 @@ impl FleetReport {
             })
             .sum();
         let slo_attained = served.iter().filter(|r| r.latency() <= cfg.slo).count();
-        let throughput_rps = if makespan.as_nanos() == 0 {
-            0.0
-        } else {
-            served.len() as f64 / makespan.as_secs_f64()
-        };
-        let mean_batch_size = if batches.is_empty() {
-            0.0
-        } else {
-            served.len() as f64 / batches.len() as f64
-        };
 
         FleetReport {
             policy: cfg.policy,
@@ -443,14 +455,14 @@ impl FleetReport {
             slo: cfg.slo,
             slo_attained,
             provision: *provision,
-            service_phases,
-            latency: LatencyStats::from_durations(&latencies),
-            assembly: LatencyStats::from_durations(&assembly),
-            queue_wait: LatencyStats::from_durations(&queueing),
-            service: LatencyStats::from_durations(&service),
+            service_phases: stats.service_phases,
+            latency: stats.latency,
+            assembly: stats.assembly,
+            queue_wait: stats.queue_wait,
+            service: stats.service,
             makespan,
-            throughput_rps,
-            mean_batch_size,
+            throughput_rps: stats.throughput_rps,
+            mean_batch_size: stats.mean_batch_size,
         }
     }
 

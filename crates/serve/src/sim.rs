@@ -1,80 +1,22 @@
-//! The serving event loop: a deterministic discrete-event simulation.
+//! Single-pool serving: one static pool of warm replicas.
 //!
-//! Requests flow through four stations, every timestamp an integer
-//! virtual nanosecond:
-//!
-//! ```text
-//! arrival ──▶ per-model admission queue ──▶ ready FIFO ──▶ replica
-//!              (WindowBatcher close rule)   (dispatch)     (service)
-//! ```
-//!
-//! * **Admission**: an arriving request is shed if the number of
-//!   admitted-but-unstarted requests has reached the queue bound;
-//!   otherwise it joins its model's queue. A batch closes when the
-//!   window since its head's arrival expires or the batch fills
-//!   ([`WindowBatcher`]'s rule).
-//! * **Dispatch**: closed batches wait in one FIFO; whenever a replica
-//!   frees up, the earliest batch that *can* start is assigned with
-//!   model affinity ([`crate::WarmPool::pick`]): a free slot holding
-//!   its model (warm hit), waiting out a busy resident slot instead of
-//!   evicting a peer, or the least-recently-used free slot when the
-//!   model is resident nowhere (cold start).
-//! * **Service**: the batch runs on the slot's session executor
-//!   ([`crate::WarmPool::service`]); the slot is busy until the
-//!   simulated service duration elapses.
-//!
-//! Event ordering is total: keys are `(time, kind-priority, sequence)`
-//! with replica releases before arrivals before graph ingests before
-//! batch closes at equal times (`ReplicaFree < Arrival < Ingest <
-//! BatchClose`), so a freed slot is reusable by a same-instant arrival,
-//! a same-instant ingest is visible to the batch that closes then, and
-//! a zero-window batch closes after its own arrival. No hash map
-//! participates in any decision — identical inputs replay identical
-//! schedules bit for bit.
-//!
-//! In streaming mode ([`crate::serve_streaming`]) a fourth event class,
-//! [`Ev::Ingest`], feeds live edge events through the shared
-//! [`StreamingState`]: appends, memory updates and compactions are
-//! priced on the ingest clock, and every dispatched batch first pays a
-//! host-side sampling stage on that same clock before its replica
-//! service starts — the freshness-vs-latency contention the streaming
-//! benchmarks measure.
+//! A single pool is a fleet of one static pool with no autoscaler, so
+//! [`serve`] maps its [`ServeConfig`] onto that fleet and runs the one
+//! serving event loop (`fleet.rs`). There a one-entry router always
+//! picks the pool, so per-pool shedding is global shedding. The
+//! single-pool report is then built from the loop's raw records. In
+//! streaming mode ([`crate::serve_streaming`]) the same loop also feeds
+//! live edge events through the shared ingest state.
 
-use std::collections::{BTreeMap, VecDeque};
+use dgnn_device::{accumulate_class_stats, CacheStats, ClassCacheStats, DurationNs};
 
-use dgnn_device::DurationNs;
-use dgnn_graph::WindowBatcher;
-
+use crate::fleet::{self, FleetConfig};
 use crate::pool::WarmPool;
 use crate::report::{ServeReport, ServedBatch, ServedRequest};
+use crate::router::RouterPolicy;
 use crate::streaming::StreamingState;
-use crate::workload::{generate, Request};
+use crate::workload::{Request, WorkloadShape};
 use crate::{ServeConfig, ServedModel};
-
-/// Event kinds, in tie-break priority order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Ev {
-    /// A replica finished its service (or its provisioning).
-    ReplicaFree(usize),
-    /// A request arrives.
-    Arrival(usize),
-    /// A live graph event arrives for ingestion (streaming mode only).
-    Ingest(usize),
-    /// A batch window expires for a model queue; the token guards
-    /// against firing on a queue that already closed by capacity.
-    BatchClose { model: usize, token: u64 },
-}
-
-impl Ev {
-    fn priority(&self) -> u8 {
-        match self {
-            Ev::ReplicaFree(_) => 0,
-            Ev::Arrival(_) => 1,
-            Ev::Ingest(_) => 2,
-            Ev::BatchClose { .. } => 3,
-        }
-    }
-}
 
 /// Everything a serving run produced: the report plus the raw records
 /// and the replica sessions for post-hoc auditing.
@@ -93,14 +35,6 @@ pub struct ServeOutcome {
     pub sessions: Vec<dgnn_device::Executor>,
 }
 
-/// A closed batch waiting for a replica.
-#[derive(Debug)]
-struct PendingBatch {
-    model: usize,
-    members: Vec<usize>,
-    ready: DurationNs,
-}
-
 /// Runs the serving simulation to completion.
 ///
 /// # Panics
@@ -108,269 +42,63 @@ struct PendingBatch {
 /// Panics on an invalid configuration (empty mix, zero pool/rate) or
 /// when a model service fails.
 pub fn serve(cfg: &ServeConfig, zoo: &[ServedModel]) -> ServeOutcome {
-    serve_with_streaming(cfg, zoo, None)
+    serve_one_pool(cfg, zoo, None)
 }
 
-/// The full event loop, optionally threading live-ingestion state
-/// (entry point: [`crate::serve_streaming`]).
-pub(crate) fn serve_with_streaming(
+/// Runs `cfg` as one static pool, optionally threading live-ingestion
+/// state, and reports it as a single-pool run.
+pub(crate) fn serve_one_pool(
     cfg: &ServeConfig,
     zoo: &[ServedModel],
-    mut streaming: Option<&mut StreamingState>,
+    streaming: Option<&mut StreamingState>,
 ) -> ServeOutcome {
-    assert!(!zoo.is_empty(), "model mix must not be empty");
-    let weights: Vec<f64> = zoo.iter().map(|m| m.weight).collect();
-    let requests = generate(cfg.seed, cfg.n_requests, cfg.arrival_rate_rps, &weights);
-    let batcher = WindowBatcher::new(cfg.batch_window.as_nanos(), cfg.max_batch);
-
-    let mut pool = WarmPool::new(cfg.pool_size, cfg.spec.clone(), cfg.mode, cfg.trace);
-
-    // Event queue: (time, priority, seq) → event. BTreeMap gives a
-    // deterministic total order.
-    let mut events: BTreeMap<(u64, u8, u64), Ev> = BTreeMap::new();
-    let mut seq = 0u64;
-    let push = |events: &mut BTreeMap<(u64, u8, u64), Ev>, seq: &mut u64, t: DurationNs, ev: Ev| {
-        *seq += 1;
-        events.insert((t.as_nanos(), ev.priority(), *seq), ev);
+    let fleet_cfg = FleetConfig {
+        seed: cfg.seed,
+        n_requests: cfg.n_requests,
+        arrival_rate_rps: cfg.arrival_rate_rps,
+        shape: WorkloadShape::Poisson,
+        policy: RouterPolicy::JoinShortestQueue,
+        batch_window: cfg.batch_window,
+        max_batch: cfg.max_batch,
+        initial_pools: 1,
+        replicas_per_pool: cfg.pool_size,
+        queue_bound: cfg.queue_bound,
+        // No fleet report is built, so no SLO is ever scored.
+        slo: DurationNs::ZERO,
+        autoscaler: None,
+        mode: cfg.mode,
+        trace: cfg.trace,
+        spec: cfg.spec.clone(),
     };
+    let run = fleet::run(&fleet_cfg, zoo, streaming);
 
-    // Provision the pool at t = 0; slots free when their init completes.
-    for (slot, done) in pool.provision(zoo).into_iter().enumerate() {
-        push(&mut events, &mut seq, done, Ev::ReplicaFree(slot));
+    let mut cache = CacheStats::default();
+    let mut cache_by_class = ClassCacheStats::default();
+    for pool in &run.pools {
+        cache.accumulate(&pool.cache_stats());
+        accumulate_class_stats(&mut cache_by_class, &pool.cache_class_stats());
     }
-    let provision = pool.provision_phases();
-
-    for r in &requests {
-        push(&mut events, &mut seq, r.arrival, Ev::Arrival(r.id));
-    }
-    if let Some(state) = streaming.as_deref() {
-        for (i, &at) in state.ingest_arrivals().iter().enumerate() {
-            push(&mut events, &mut seq, at, Ev::Ingest(i));
-        }
-    }
-
-    // Per-model admission queues + open-batch window tokens.
-    let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); zoo.len()];
-    let mut open_token: Vec<Option<u64>> = vec![None; zoo.len()];
-    let mut ready: VecDeque<PendingBatch> = VecDeque::new();
-    let mut queued = 0usize; // admitted but not yet dispatched
-
-    let mut served: Vec<ServedRequest> = Vec::new();
-    let mut shed: Vec<Request> = Vec::new();
-    let mut batches: Vec<ServedBatch> = Vec::new();
-    let mut dispatch_seq = 0u64;
-
-    while let Some((&key, &ev)) = events.iter().next() {
-        events.remove(&key);
-        let now = DurationNs::from_nanos(key.0);
-        match ev {
-            Ev::Arrival(id) => {
-                let req = requests[id];
-                if queued >= cfg.queue_bound {
-                    shed.push(req);
-                    continue;
-                }
-                queued += 1;
-                let q = &mut queues[req.model];
-                q.push_back(id);
-                if batcher.is_full(q.len()) {
-                    // Capacity close: dispatchable immediately.
-                    open_token[req.model] = None;
-                    close_batch(req.model, now, &mut queues, &mut ready, &batcher);
-                    try_dispatch(
-                        now,
-                        cfg,
-                        zoo,
-                        &mut pool,
-                        &mut ready,
-                        &mut queued,
-                        &mut dispatch_seq,
-                        &requests,
-                        &mut served,
-                        &mut batches,
-                        &mut events,
-                        &mut seq,
-                        &mut streaming,
-                    );
-                } else if q.len() == 1 {
-                    // New anchor: schedule the window close.
-                    seq += 1;
-                    let token = seq;
-                    open_token[req.model] = Some(token);
-                    let deadline = DurationNs::from_nanos(batcher.deadline(now.as_nanos()));
-                    let ev = Ev::BatchClose {
-                        model: req.model,
-                        token,
-                    };
-                    events.insert((deadline.as_nanos(), ev.priority(), token), ev);
-                }
-            }
-            Ev::BatchClose { model, token } => {
-                if open_token[model] != Some(token) {
-                    continue; // stale: the batch already closed by capacity
-                }
-                open_token[model] = None;
-                close_batch(model, now, &mut queues, &mut ready, &batcher);
-                try_dispatch(
-                    now,
-                    cfg,
-                    zoo,
-                    &mut pool,
-                    &mut ready,
-                    &mut queued,
-                    &mut dispatch_seq,
-                    &requests,
-                    &mut served,
-                    &mut batches,
-                    &mut events,
-                    &mut seq,
-                    &mut streaming,
-                );
-            }
-            Ev::Ingest(i) => {
-                let state = streaming
-                    .as_deref_mut()
-                    .expect("ingest events are only scheduled in streaming mode");
-                state.ingest(i, now);
-            }
-            Ev::ReplicaFree(slot) => {
-                pool.mark_free(slot);
-                try_dispatch(
-                    now,
-                    cfg,
-                    zoo,
-                    &mut pool,
-                    &mut ready,
-                    &mut queued,
-                    &mut dispatch_seq,
-                    &requests,
-                    &mut served,
-                    &mut batches,
-                    &mut events,
-                    &mut seq,
-                    &mut streaming,
-                );
-            }
-        }
-    }
-
-    assert!(
-        ready.is_empty() && queues.iter().all(VecDeque::is_empty),
-        "serving loop terminated with work still queued"
-    );
-
-    served.sort_by_key(|r| r.id);
+    let batches: Vec<ServedBatch> = run.batches.into_iter().map(|b| b.batch).collect();
     let report = ServeReport::build(
         cfg,
-        &requests,
-        &served,
-        &shed,
+        &run.offered,
+        &run.served,
+        &run.shed,
         &batches,
-        &provision,
-        pool.cold_starts(),
-        pool.cache_stats(),
-        pool.cache_class_stats(),
+        &run.provision,
+        run.cold_services,
+        cache,
+        cache_by_class,
     );
     ServeOutcome {
         report,
-        requests: served,
-        shed,
+        requests: run.served,
+        shed: run.shed,
         batches,
-        sessions: pool.into_sessions(),
-    }
-}
-
-/// Drains up to one batch from a model queue into the ready FIFO.
-fn close_batch(
-    model: usize,
-    now: DurationNs,
-    queues: &mut [VecDeque<usize>],
-    ready: &mut VecDeque<PendingBatch>,
-    batcher: &WindowBatcher,
-) {
-    let q = &mut queues[model];
-    debug_assert!(!q.is_empty(), "closing an empty batch");
-    let take = q.len().min(batcher.max_batch);
-    let members: Vec<usize> = q.drain(..take).collect();
-    ready.push_back(PendingBatch {
-        model,
-        members,
-        ready: now,
-    });
-}
-
-/// Starts ready batches on free replicas (FIFO with affinity skip).
-#[allow(clippy::too_many_arguments)] // event-loop state is deliberately flat
-fn try_dispatch(
-    now: DurationNs,
-    cfg: &ServeConfig,
-    zoo: &[ServedModel],
-    pool: &mut WarmPool,
-    ready: &mut VecDeque<PendingBatch>,
-    queued: &mut usize,
-    dispatch_seq: &mut u64,
-    requests: &[Request],
-    served: &mut Vec<ServedRequest>,
-    batches: &mut Vec<ServedBatch>,
-    events: &mut BTreeMap<(u64, u8, u64), Ev>,
-    seq: &mut u64,
-    streaming: &mut Option<&mut StreamingState>,
-) {
-    // Earliest-ready batch that can start now. Affinity can block the
-    // head (its model's slot is busy) without blocking later batches
-    // whose slots are free; within one model, ready order is FIFO so
-    // requests never overtake each other.
-    while let Some((pos, slot)) = ready
-        .iter()
-        .enumerate()
-        .find_map(|(i, b)| pool.pick(b.model).map(|(slot, _cold)| (i, slot)))
-    {
-        let batch = ready.remove(pos).expect("index from enumerate");
-        *dispatch_seq += 1;
-        // Streaming: the batch first pays host-side sampling on the
-        // shared ingest clock (contending with live appends), reading a
-        // snapshot capped at the events visible right now.
-        let (sampling, staleness) = match streaming.as_deref_mut() {
-            Some(state) => state.sample_batch(now, &batch.members, requests),
-            None => (DurationNs::ZERO, Vec::new()),
-        };
-        let record = pool.service(slot, batch.model, zoo, batch.members.len(), *dispatch_seq);
-        let completed = now + sampling + record.duration;
-        *queued -= batch.members.len();
-
-        let batch_id = batches.len();
-        for (pos_in_batch, &id) in batch.members.iter().enumerate() {
-            served.push(ServedRequest {
-                id,
-                model: batch.model,
-                arrival: requests[id].arrival,
-                batch: batch_id,
-                assembled: batch.ready,
-                started: now,
-                completed,
-                cold: record.cold,
-                staleness: staleness
-                    .get(pos_in_batch)
-                    .copied()
-                    .unwrap_or(DurationNs::ZERO),
-            });
-        }
-        batches.push(ServedBatch {
-            model: batch.model,
-            requests: batch.members,
-            ready: batch.ready,
-            started: now,
-            completed,
-            cold: record.cold,
-            replica: record.replica,
-            phases: record.phases,
-            summary: record.summary,
-        });
-        *seq += 1;
-        events.insert(
-            (completed.as_nanos(), Ev::ReplicaFree(slot).priority(), *seq),
-            Ev::ReplicaFree(slot),
-        );
-        let _ = cfg;
+        sessions: run
+            .pools
+            .into_iter()
+            .flat_map(WarmPool::into_sessions)
+            .collect(),
     }
 }

@@ -38,7 +38,7 @@ use dgnn_models::{IngestMemory, MemoryRule};
 use dgnn_tensor::TensorRng;
 
 use crate::report::ServedRequest;
-use crate::sim::{serve_with_streaming, ServeOutcome};
+use crate::sim::{serve_one_pool, ServeOutcome};
 use crate::workload::{validate_rate, RateError, Request};
 use crate::{ServeConfig, ServedModel};
 
@@ -139,7 +139,7 @@ pub fn generate_ingest(seed: u64, n: usize, rate_eps: f64) -> Vec<DurationNs> {
 /// ingest executor whose Host lane both ingestion and query sampling
 /// are priced on.
 #[derive(Debug)]
-pub struct StreamingState {
+pub(crate) struct StreamingState {
     store: StreamingAdjacency,
     memory: IngestMemory,
     ingest: Executor,
@@ -163,7 +163,7 @@ impl StreamingState {
     ///
     /// Panics when the stream is malformed (unsorted, out-of-bounds
     /// nodes) or the compaction threshold is zero.
-    pub fn new(scfg: &StreamingConfig, cfg: &ServeConfig) -> Self {
+    pub(crate) fn new(scfg: &StreamingConfig, cfg: &ServeConfig) -> Self {
         let events: Vec<TemporalEvent> = scfg.stream.events().to_vec();
         let n_nodes = scfg.stream.n_nodes();
         let mut ingest = Executor::new(cfg.spec.clone(), ExecMode::CpuOnly);
@@ -315,23 +315,23 @@ impl StreamingState {
     }
 
     /// Events ingested so far.
-    pub fn ingested(&self) -> usize {
+    pub(crate) fn ingested(&self) -> usize {
         self.next
     }
 
     /// Compactions the store ran.
-    pub fn compactions(&self) -> usize {
+    pub(crate) fn compactions(&self) -> usize {
         self.store.compactions()
     }
 
     /// Order-sensitive checksum of the serving-path node memory.
-    pub fn memory_checksum(&self) -> u64 {
+    pub(crate) fn memory_checksum(&self) -> u64 {
         self.memory.checksum()
     }
 
     /// Consumes the state, returning the ingest session executor for
     /// post-hoc auditing (RULE7 runs over its provenance trace).
-    pub fn into_session(self) -> Executor {
+    pub(crate) fn into_session(self) -> Executor {
         self.ingest
     }
 }
@@ -365,7 +365,7 @@ pub fn serve_streaming(
     zoo: &[ServedModel],
 ) -> StreamingOutcome {
     let mut state = StreamingState::new(scfg, cfg);
-    let serve = serve_with_streaming(cfg, zoo, Some(&mut state));
+    let serve = serve_one_pool(cfg, zoo, Some(&mut state));
     StreamingOutcome {
         serve,
         ingested: state.ingested(),

@@ -4,7 +4,9 @@
 use dgnn_datasets::{wikipedia, Scale};
 use dgnn_device::{DurationNs, ExecMode, PlatformSpec};
 use dgnn_models::{InferenceConfig, Jodie, JodieConfig, ReplicaHandle, Tgat, TgatConfig};
-use dgnn_serve::{serve, ServeConfig, ServedModel};
+use dgnn_serve::{
+    serve, serve_fleet, FleetConfig, RouterPolicy, ServeConfig, ServedModel, WorkloadShape,
+};
 
 fn jodie_entry(weight: f64) -> ServedModel {
     let data = wikipedia(Scale::Tiny, 11);
@@ -271,4 +273,144 @@ fn serve_config_validates_its_arrival_rate() {
     assert!(err.to_string().contains("arrival rate"));
     cfg.arrival_rate_rps = -1.0;
     assert_eq!(cfg.validate().unwrap_err().reason, "not positive");
+}
+
+/// A shedding two-model run on two slots with a non-zero window: the
+/// configuration the single-pool outputs are pinned at.
+fn pinned_cfg() -> ServeConfig {
+    ServeConfig {
+        queue_bound: 12,
+        ..base_cfg()
+    }
+}
+
+/// One line per served request, then one per batch: every virtual ns
+/// field, the cold flags, the staleness and the checksum bits.
+fn record_lines(outcome: &dgnn_serve::ServeOutcome) -> Vec<String> {
+    let requests = outcome.requests.iter().map(|r| {
+        format!(
+            "r{} m{} b{} {}/{}/{}/{} cold={} stale={}",
+            r.id,
+            r.model,
+            r.batch,
+            r.arrival.as_nanos(),
+            r.assembled.as_nanos(),
+            r.started.as_nanos(),
+            r.completed.as_nanos(),
+            r.cold,
+            r.staleness.as_nanos(),
+        )
+    });
+    let batches = outcome.batches.iter().map(|b| {
+        format!(
+            "m{} {:?} replica={} cold={} checksum={:#010x}",
+            b.model,
+            b.requests,
+            b.replica,
+            b.cold,
+            b.summary.checksum.to_bits(),
+        )
+    });
+    requests.chain(batches).collect()
+}
+
+/// Exact single-pool outputs of [`pinned_cfg`]: the schedule, the
+/// cold flags, the staleness and the service numerics, request by
+/// request and batch by batch.
+const PINNED_RECORDS: &[&str] = &[
+    "r0 m1 b1 4573140/7573140/6507961874/6515241049 cold=false stale=0",
+    "r1 m0 b0 7634942/10634942/6504583627/6646393948 cold=false stale=0",
+    "r2 m0 b0 7782032/10634942/6504583627/6646393948 cold=false stale=0",
+    "r3 m0 b3 11287410/14287410/6646393948/6852337993 cold=false stale=0",
+    "r4 m0 b3 11806966/14287410/6646393948/6852337993 cold=false stale=0",
+    "r5 m0 b3 13248813/14287410/6646393948/6852337993 cold=false stale=0",
+    "r6 m0 b4 18205735/21205735/6852337993/6994148314 cold=false stale=0",
+    "r7 m0 b4 20984575/21205735/6852337993/6994148314 cold=false stale=0",
+    "r8 m0 b5 27578197/30578197/6994148314/7061187403 cold=false stale=0",
+    "r9 m0 b6 34474672/37474672/7061187403/7202997724 cold=false stale=0",
+    "r10 m0 b6 36874060/37474672/7061187403/7202997724 cold=false stale=0",
+    "r11 m1 b2 44506404/47506404/6515241049/6522520224 cold=false stale=0",
+    "m0 [1, 2] replica=0 cold=false checksum=0xc30f9977",
+    "m1 [0] replica=1 cold=false checksum=0xc29fbc81",
+    "m1 [11] replica=1 cold=false checksum=0xc29fbc81",
+    "m0 [3, 4, 5] replica=0 cold=false checksum=0xc354155f",
+    "m0 [6, 7] replica=0 cold=false checksum=0xc30f9977",
+    "m0 [8] replica=0 cold=false checksum=0xc2204b0a",
+    "m0 [9, 10] replica=0 cold=false checksum=0xc30f9977",
+];
+
+const PINNED_REPORT: &str = "\
+== pinned ==
+metric      p50 (ms)  p95 (ms)  p99 (ms)  mean (ms)
+---------------------------------------------------
+latency     6840.531  7168.523  7168.523  6842.007
+assembly    3.000     3.000     3.000     2.349
+queue wait  6632.107  7023.713  7023.713  6710.467
+service     141.810   205.944   205.944   129.191
+staleness   0.000     0.000     0.000     0.000
+requests: 24 offered, 12 served, 12 shed (bound 12) | batches: 7 (mean size 1.71) | \
+services: 0 cold / 7 warm | pool: 2 | warm-up share: 95.1% | throughput: 1.7 rps | \
+makespan: 7203.0 ms
+";
+
+#[test]
+fn single_pool_outputs_are_pinned() {
+    let outcome = serve(&pinned_cfg(), &[jodie_entry(3.0), tgat_entry(1.0)]);
+    assert_eq!(record_lines(&outcome), PINNED_RECORDS);
+    let shed: Vec<usize> = outcome.shed.iter().map(|r| r.id).collect();
+    assert_eq!(shed, (12..24).collect::<Vec<_>>());
+    assert_eq!(outcome.report.render("pinned"), PINNED_REPORT);
+}
+
+/// A single pool is a fleet of one static pool under join-shortest-
+/// queue with no autoscaler: `serve` and `serve_fleet` agree record
+/// for record.
+#[test]
+fn serve_matches_a_one_pool_static_fleet() {
+    let cfg = pinned_cfg();
+    let fleet_cfg = FleetConfig {
+        seed: cfg.seed,
+        n_requests: cfg.n_requests,
+        arrival_rate_rps: cfg.arrival_rate_rps,
+        shape: WorkloadShape::Poisson,
+        policy: RouterPolicy::JoinShortestQueue,
+        batch_window: cfg.batch_window,
+        max_batch: cfg.max_batch,
+        initial_pools: 1,
+        replicas_per_pool: cfg.pool_size,
+        queue_bound: cfg.queue_bound,
+        slo: DurationNs::from_millis(250),
+        autoscaler: None,
+        mode: cfg.mode,
+        trace: cfg.trace,
+        spec: cfg.spec.clone(),
+    };
+    let single = serve(&cfg, &[jodie_entry(3.0), tgat_entry(1.0)]);
+    let fleet = serve_fleet(&fleet_cfg, &[jodie_entry(3.0), tgat_entry(1.0)]);
+    assert_eq!(single.requests, fleet.requests);
+    assert_eq!(single.shed, fleet.shed);
+    assert_eq!(single.batches.len(), fleet.batches.len());
+    for (s, f) in single.batches.iter().zip(&fleet.batches) {
+        assert_eq!(f.pool, 0);
+        let f = &f.batch;
+        assert_eq!(s.model, f.model);
+        assert_eq!(s.requests, f.requests);
+        assert_eq!(
+            (s.ready, s.started, s.completed),
+            (f.ready, f.started, f.completed)
+        );
+        assert_eq!((s.cold, s.replica), (f.cold, f.replica));
+        assert_eq!(s.phases, f.phases);
+        assert_eq!(s.summary.checksum.to_bits(), f.summary.checksum.to_bits());
+        assert_eq!(s.summary, f.summary);
+    }
+    let (s, f) = (&single.report, &fleet.report);
+    assert_eq!((s.served, s.shed, s.batches), (f.served, f.shed, f.batches));
+    assert_eq!(s.cold_services, f.cold_services);
+    assert_eq!(s.provision, f.provision);
+    assert_eq!(s.service_phases, f.service_phases);
+    assert_eq!(
+        (s.latency, s.assembly, s.queue_wait, s.service),
+        (f.latency, f.assembly, f.queue_wait, f.service)
+    );
 }

@@ -5,6 +5,7 @@ use dgnn_datasets::{wikipedia, Scale};
 use dgnn_device::{DurationNs, ExecMode, PlatformSpec};
 use dgnn_graph::EventStream;
 use dgnn_models::{InferenceConfig, MemoryRule, ReplicaHandle, Tgn, TgnConfig};
+use dgnn_profile::LatencyStats;
 use dgnn_serve::{
     generate_ingest, serve_streaming, ServeConfig, ServedModel, StreamingConfig, StreamingOutcome,
 };
@@ -174,4 +175,56 @@ fn staleness_is_reported_alongside_latency() {
     let text = out.serve.report.render("streaming");
     assert!(text.contains("staleness"), "{text}");
     assert!(out.serve.report.staleness.p99 >= out.serve.report.staleness.p50);
+}
+
+/// Exact outputs of the live run: ingest progress, compactions, the
+/// node-memory state, the staleness the queries observed and when they
+/// completed (sampling on the ingest clock included).
+#[test]
+fn live_streaming_outputs_are_pinned() {
+    let out = run(false, false);
+    assert_eq!(out.ingested, 1575);
+    assert_eq!(out.compactions, 24);
+    assert_eq!(out.memory_checksum, 0xd3f8_8b09_15f9_1849);
+    let ns = DurationNs::from_nanos;
+    assert_eq!(
+        out.serve.report.staleness,
+        LatencyStats {
+            n: 16,
+            min: ns(0),
+            max: ns(126_115_698),
+            mean: ns(20_677_794),
+            p50: ns(0),
+            p95: ns(126_115_698),
+            p99: ns(126_115_698),
+        }
+    );
+    let served: Vec<(u64, u64)> = out
+        .serve
+        .requests
+        .iter()
+        .map(|r| (r.staleness.as_nanos(), r.completed.as_nanos()))
+        .collect();
+    assert_eq!(
+        served,
+        [
+            (0, 6_511_239_169),
+            (0, 6_511_239_299),
+            (0, 6_516_570_600),
+            (0, 6_516_570_952),
+            (0, 6_521_902_268),
+            (0, 6_521_902_958),
+            (0, 6_527_233_951),
+            (0, 6_527_234_389),
+            (0, 6_532_565_382),
+            (0, 6_532_565_820),
+            (0, 6_537_898_263),
+            (20_994_587, 7_425_065_984),
+            (42_478_915, 7_706_835_217),
+            (120_329_208, 8_057_676_582),
+            (20_926_309, 8_565_971_974),
+            (126_115_698, 8_671_161_111),
+        ]
+    );
+    assert_eq!(out.serve.report.makespan.as_nanos(), 8_671_161_111);
 }
