@@ -1,11 +1,17 @@
 //! Unipartite event streams: Social Evolution (DyRep) and GitHub (LDG).
 
+use std::collections::VecDeque;
+
 use dgnn_graph::{EventStream, TemporalEvent};
 use dgnn_tensor::{Initializer, TensorRng};
 
 use crate::power_law::PowerLawSampler;
 use crate::scale::Scale;
-use crate::types::TemporalDataset;
+use crate::types::{EdgeFeatures, TemporalDataset};
+
+/// Mixed into the seed of the feature generator, which draws the node
+/// features and then, on demand, the edge features.
+const FEATURE_SEED_SALT: u64 = 0x1f123bb5;
 
 struct UnipartiteConfig {
     name: &'static str,
@@ -27,7 +33,7 @@ fn generate(cfg: &UnipartiteConfig, scale: Scale, seed: u64) -> TemporalDataset 
     let pop = PowerLawSampler::new(n_nodes, cfg.alpha);
 
     let mut t = 0.0f64;
-    let mut recent: Vec<(usize, usize)> = Vec::new();
+    let mut recent: VecDeque<(usize, usize)> = VecDeque::new();
     let events: Vec<TemporalEvent> = (0..n_events)
         .map(|i| {
             t += rng.uniform_f64(0.01, 1.0);
@@ -41,9 +47,9 @@ fn generate(cfg: &UnipartiteConfig, scale: Scale, seed: u64) -> TemporalDataset 
                 }
                 (s, d)
             };
-            recent.push((src, dst));
+            recent.push_back((src, dst));
             if recent.len() > 64 {
-                recent.remove(0);
+                recent.pop_front();
             }
             TemporalEvent {
                 src,
@@ -55,12 +61,13 @@ fn generate(cfg: &UnipartiteConfig, scale: Scale, seed: u64) -> TemporalDataset 
         .collect();
     let stream = EventStream::new(n_nodes, events).expect("generated events are sorted");
 
-    let mut trng = TensorRng::seed(seed ^ 0x1f123bb5);
+    let mut trng = TensorRng::seed(seed ^ FEATURE_SEED_SALT);
+    let node_features = trng.init(&[n_nodes, cfg.node_dim], Initializer::Normal(1.0));
     TemporalDataset {
         name: cfg.name,
         stream,
-        node_features: trng.init(&[n_nodes, cfg.node_dim], Initializer::Normal(1.0)),
-        edge_features: trng.init(&[n_events, cfg.edge_dim], Initializer::Normal(1.0)),
+        node_features,
+        edge_features: EdgeFeatures::generated(n_events, cfg.edge_dim, trng),
     }
 }
 
@@ -103,6 +110,16 @@ pub fn github(scale: Scale, seed: u64) -> TemporalDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::assert_features_match_eager;
+
+    #[test]
+    fn lazy_edge_features_match_the_eager_stream() {
+        for gen in [social_evolution, github] {
+            for seed in [1, 7] {
+                assert_features_match_eager(&gen(Scale::Tiny, seed), seed ^ FEATURE_SEED_SALT);
+            }
+        }
+    }
 
     #[test]
     fn social_evolution_is_small_and_dense() {

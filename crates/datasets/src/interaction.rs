@@ -9,7 +9,11 @@ use dgnn_tensor::{Initializer, TensorRng};
 
 use crate::power_law::PowerLawSampler;
 use crate::scale::Scale;
-use crate::types::TemporalDataset;
+use crate::types::{EdgeFeatures, TemporalDataset};
+
+/// Mixed into the seed of the feature generator, which draws the node
+/// features and then, on demand, the edge features.
+const FEATURE_SEED_SALT: u64 = 0x9e3779b97f4a7c15;
 
 /// Shape parameters of a bipartite interaction dataset.
 struct BipartiteConfig {
@@ -48,12 +52,13 @@ fn generate(cfg: &BipartiteConfig, scale: Scale, seed: u64) -> TemporalDataset {
         .collect();
     let stream = EventStream::new(n_nodes, events).expect("generated events are sorted");
 
-    let mut trng = TensorRng::seed(seed ^ 0x9e3779b97f4a7c15);
+    let mut trng = TensorRng::seed(seed ^ FEATURE_SEED_SALT);
+    let node_features = trng.init(&[n_nodes, cfg.node_dim], Initializer::Normal(1.0));
     TemporalDataset {
         name: cfg.name,
         stream,
-        node_features: trng.init(&[n_nodes, cfg.node_dim], Initializer::Normal(1.0)),
-        edge_features: trng.init(&[n_events, cfg.edge_dim], Initializer::Normal(1.0)),
+        node_features,
+        edge_features: EdgeFeatures::generated(n_events, cfg.edge_dim, trng),
     }
 }
 
@@ -118,6 +123,16 @@ pub fn lastfm(scale: Scale, seed: u64) -> TemporalDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::assert_features_match_eager;
+
+    #[test]
+    fn lazy_edge_features_match_the_eager_stream() {
+        for gen in [wikipedia, reddit, lastfm] {
+            for seed in [1, 7] {
+                assert_features_match_eager(&gen(Scale::Tiny, seed), seed ^ FEATURE_SEED_SALT);
+            }
+        }
+    }
 
     #[test]
     fn wikipedia_shape_matches_config() {

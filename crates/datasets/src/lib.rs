@@ -47,4 +47,6 @@ pub use power_law::PowerLawSampler;
 pub use scale::Scale;
 pub use snapshots::{bitcoin_alpha, sbm};
 pub use traffic::pems;
-pub use types::{SnapshotDataset, TemporalDataset, TimeSeriesDataset, TrajectoryDataset};
+pub use types::{
+    EdgeFeatures, SnapshotDataset, TemporalDataset, TimeSeriesDataset, TrajectoryDataset,
+};

@@ -269,6 +269,19 @@ mod tests {
     }
 
     #[test]
+    fn run_generates_only_the_edge_features_it_reads() {
+        // `dgnn_bench::default_config("jodie")`'s units: 3 windows of 128.
+        let mut m = Jodie::new(wikipedia(Scale::Small, 1), JodieConfig::default(), 7);
+        let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
+        let cfg = InferenceConfig::default()
+            .with_batch_size(128)
+            .with_max_units(3);
+        m.run(&mut ex, &cfg).unwrap();
+        let read = m.data.edge_features.materialized_rows();
+        assert!(read > 0 && read <= m.data.stream.len() / 2, "{read} rows");
+    }
+
+    #[test]
     fn gpu_utilization_is_low() {
         let mut m = build();
         let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);

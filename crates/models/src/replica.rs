@@ -6,7 +6,10 @@
 //! seed-deterministic recipe — never on mutable state a previous
 //! request left behind. The struct rebuild is host-side Rust work the
 //! simulator does not price; the priced warm-up (context init, weight
-//! upload) is exactly what the warm session amortizes.
+//! upload) is exactly what the warm session amortizes. A rebuild no
+//! longer regenerates edge-feature rows the run never reads:
+//! [`dgnn_datasets::EdgeFeatures`] draws each row on first read, with
+//! the bits an eager table would hold.
 //!
 //! `dgnn-bench` provides handles for the full 8-model zoo
 //! (`zoo_handles`), binding each model to its paper dataset.

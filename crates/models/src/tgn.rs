@@ -733,6 +733,17 @@ mod tests {
     }
 
     #[test]
+    fn run_generates_only_the_edge_features_it_reads() {
+        // `dgnn_bench::default_config("tgn")`'s units: 4 windows of 512,
+        // so at most 2,048 rows read and 4,096 generated.
+        let mut m = Tgn::new(wikipedia(Scale::Small, 1), TgnConfig::default(), 7);
+        let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);
+        m.run(&mut ex, &cfg(512).with_max_units(4)).unwrap();
+        let read = m.data.edge_features.materialized_rows();
+        assert!(read > 0 && read <= m.data.stream.len() / 2, "{read} rows");
+    }
+
+    #[test]
     fn message_passing_dominates_large_batches() {
         let mut m = build();
         let mut ex = Executor::new(PlatformSpec::default(), ExecMode::Gpu);

@@ -23,7 +23,10 @@
 //! The model *struct* is rebuilt from its [`ReplicaHandle`] on every
 //! service, so request numerics depend only on the handle's recipe —
 //! session reuse amortizes priced warm-up without carrying mutable
-//! model state between requests.
+//! model state between requests. The rebuild no longer regenerates
+//! edge-feature rows the service does not read: the dataset's
+//! [`dgnn_datasets::EdgeFeatures`] table draws each row on first read,
+//! bit-identical to the eager table.
 
 use dgnn_device::{
     accumulate_class_stats, CacheStats, ClassCacheStats, DurationNs, ExecMode, Executor,

@@ -120,19 +120,26 @@ impl TensorRng {
     /// [`Initializer::XavierUniform`] the first dimension is treated as
     /// fan-out and the second (or 1) as fan-in.
     pub fn init(&mut self, dims: &[usize], scheme: Initializer) -> Tensor {
+        let mut data = Vec::with_capacity(dims.iter().product());
+        self.init_into(&mut data, dims, scheme);
+        Tensor::from_vec(data, dims).expect("init produces matching length")
+    }
+
+    /// Appends to `out` the values [`TensorRng::init`] would draw for
+    /// `dims`, consuming the same draws.
+    pub fn init_into(&mut self, out: &mut Vec<f32>, dims: &[usize], scheme: Initializer) {
         let len: usize = dims.iter().product();
-        let data = match scheme {
-            Initializer::Zeros => vec![0.0; len],
-            Initializer::Uniform(a) => (0..len).map(|_| self.uniform(-a, a)).collect(),
-            Initializer::Normal(std) => (0..len).map(|_| self.normal() * std).collect(),
+        match scheme {
+            Initializer::Zeros => out.resize(out.len() + len, 0.0),
+            Initializer::Uniform(a) => out.extend((0..len).map(|_| self.uniform(-a, a))),
+            Initializer::Normal(std) => out.extend((0..len).map(|_| self.normal() * std)),
             Initializer::XavierUniform => {
                 let fan_out = dims.first().copied().unwrap_or(1);
                 let fan_in = dims.get(1).copied().unwrap_or(1);
                 let a = (6.0 / (fan_in + fan_out) as f32).sqrt();
-                (0..len).map(|_| self.uniform(-a, a)).collect()
+                out.extend((0..len).map(|_| self.uniform(-a, a)));
             }
-        };
-        Tensor::from_vec(data, dims).expect("init produces matching length")
+        }
     }
 }
 
@@ -145,6 +152,23 @@ mod tests {
         let a = TensorRng::seed(7).init(&[3, 3], Initializer::Normal(1.0));
         let b = TensorRng::seed(7).init(&[3, 3], Initializer::Normal(1.0));
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn init_into_appends_the_init_stream() {
+        for scheme in [
+            Initializer::Normal(1.0),
+            Initializer::Uniform(0.5),
+            Initializer::Zeros,
+        ] {
+            let whole = TensorRng::seed(9).init(&[5, 3], scheme);
+            let mut rng = TensorRng::seed(9);
+            let mut out = vec![7.0];
+            rng.init_into(&mut out, &[2, 3], scheme);
+            rng.init_into(&mut out, &[3, 3], scheme);
+            assert_eq!(out[0], 7.0);
+            assert_eq!(&out[1..], whole.as_slice(), "{scheme:?}");
+        }
     }
 
     #[test]
